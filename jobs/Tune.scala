@@ -4,8 +4,8 @@ import repro.community.Louvain
 import repro.core._
 
 /** Calibration sweep (not part of the reproduction tables): prints the
-  * selection funnel and a Louvain sweep over affinity blends so generator
-  * knobs can be matched to the paper's Tables II–VI shapes.
+  * selection funnel and a Louvain γ sweep so generator knobs can be
+  * matched to the paper's Tables II–VI shapes.
   *
   * Usage: sbt "runMain repro.jobs.Tune [sf] [seed]"
   */

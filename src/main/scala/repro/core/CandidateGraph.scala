@@ -32,22 +32,28 @@ object CandidateGraph {
     */
   final case class Result(nodes: DataFrame, assignment: DataFrame, trips: DataFrame) {
     def stats: Stats = {
-      val pairs = trips.select(col("src_node") as "s", col("dst_node") as "d")
-      val directed = pairs.distinct()
-      val undirected = pairs
-        .select(least(col("s"), col("d")) as "a", greatest(col("s"), col("d")) as "b")
-        .distinct()
-      val nStation = nodes.filter(col("is_station")).count()
-      val nAll = nodes.count()
+      val pairs = endpoints(trips)
+      val directed = pairs.toSet
+      val undirected = directed.map { case (s, d) => (s min d, s max d) }
+      def noLoops(edges: Set[(Long, Long)]): Long = edges.count { case (s, d) => s != d }.toLong
+      val isStation = nodes.select(col("is_station")).collect().map(_.getBoolean(0))
+      val nStation = isStation.count(identity).toLong
       Stats(
-        nNodes = nAll, nStationNodes = nStation, nCandidateNodes = nAll - nStation,
-        undirectedEdges = undirected.count(),
-        undirectedEdgesNoLoops = undirected.filter(col("a") =!= col("b")).count(),
-        directedEdges = directed.count(),
-        directedEdgesNoLoops = directed.filter(col("s") =!= col("d")).count(),
-        nTrips = trips.count())
+        nNodes = isStation.length, nStationNodes = nStation,
+        nCandidateNodes = isStation.length - nStation,
+        undirectedEdges = undirected.size, undirectedEdgesNoLoops = noLoops(undirected),
+        directedEdges = directed.size, directedEdgesNoLoops = noLoops(directed),
+        nTrips = pairs.length)
     }
   }
+
+  /** Every trip's (src_node, dst_node), collected to the driver. The graph
+    * after HAC is small (~62 k trips at sf=1), so the table counts are
+    * plain Scala over this array rather than Spark jobs.
+    */
+  private[core] def endpoints(trips: DataFrame): Array[(Long, Long)] =
+    trips.select(col("src_node").cast("long"), col("dst_node").cast("long")).collect()
+      .map(r => (r.getLong(0), r.getLong(1)))
 
   /** Nearest fixed station for every location: location_id, nearest_station,
     * station_dist_m. Uses a cross join (|L|·|S| ≈ 1.3 M at sf=1).

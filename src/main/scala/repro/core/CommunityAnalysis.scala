@@ -1,7 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.SparkSession
+import scala.collection.mutable
 
 /** Community summary tables (paper Tables IV, V, VI): per community the
   * number of old (pre-existing) and new (selected) stations, and the
@@ -27,45 +27,28 @@ object CommunityAnalysis {
   /** Build the summary from a node->community assignment.
     *
     * Community ids are renumbered 1..K by descending total station count
-    * then ascending min node id, mirroring the paper's table layout.
+    * then ascending raw community id, mirroring the paper's table layout.
+    * Nodes, and trips with an endpoint, missing from `community` are left
+    * out; a community appears iff at least one node maps to it.
     */
   def summarize(spark: SparkSession, selected: SelectedGraph.Result,
                 community: Map[Long, Long], modularity: Double): Summary = {
-    import spark.implicits._
-    val commDf = community.toSeq.toDF("node_id", "community")
-
-    val stationCounts = selected.nodes.join(commDf, "node_id")
-      .groupBy($"community")
-      .agg(sum(when($"is_new", 0L).otherwise(1L)) as "old_st",
-           sum(when($"is_new", 1L).otherwise(0L)) as "new_st",
-           count(lit(1)) as "total_st")
-
-    val withComm = selected.trips
-      .join(commDf.select($"node_id" as "src_node", $"community" as "c_src"), "src_node")
-      .join(commDf.select($"node_id" as "dst_node", $"community" as "c_dst"), "dst_node")
-
-    val within = withComm.filter($"c_src" === $"c_dst")
-      .groupBy($"c_src").agg(count(lit(1)) as "within").withColumnRenamed("c_src", "community")
-    val out = withComm.filter($"c_src" =!= $"c_dst")
-      .groupBy($"c_src").agg(count(lit(1)) as "out").withColumnRenamed("c_src", "community")
-    val in = withComm.filter($"c_src" =!= $"c_dst")
-      .groupBy($"c_dst").agg(count(lit(1)) as "in").withColumnRenamed("c_dst", "community")
-
-    val joined = stationCounts
-      .join(within, Seq("community"), "left")
-      .join(out, Seq("community"), "left")
-      .join(in, Seq("community"), "left")
-      .select($"community", $"old_st", $"new_st", $"total_st",
-              coalesce($"within", lit(0L)) as "within",
-              coalesce($"out", lit(0L)) as "out",
-              coalesce($"in", lit(0L)) as "in")
-      .as[(Long, Long, Long, Long, Long, Long, Long)]
-      .collect()
-      .sortBy(t => (-t._4, t._1))
-
-    val rows = joined.zipWithIndex.map { case (t, i) =>
-      CommunityRow(i + 1L, t._2, t._3, t._4, t._5, t._6, t._7)
+    val within, out, in = mutable.Map.empty[Long, Long].withDefaultValue(0L)
+    for ((s, d) <- CandidateGraph.endpoints(selected.trips);
+         cs <- community.get(s); cd <- community.get(d)) {
+      if (cs == cd) within(cs) += 1
+      else { out(cs) += 1; in(cd) += 1 }
     }
-    Summary(rows.toSeq, modularity)
+    val stations = SelectedGraph.nodeFlags(selected.nodes)
+      .flatMap { case (id, isNew) => community.get(id).map(_ -> isNew) }
+      .groupMapReduce(_._1) { case (_, isNew) => if (isNew) (0L, 1L) else (1L, 0L) } {
+        case ((o1, n1), (o2, n2)) => (o1 + o2, n1 + n2)
+      }
+    val rows = stations.toSeq
+      .sortBy { case (c, (oldSt, newSt)) => (-(oldSt + newSt), c) }
+      .zipWithIndex.map { case ((c, (oldSt, newSt)), i) =>
+        CommunityRow(i + 1L, oldSt, newSt, oldSt + newSt, within(c), out(c), in(c))
+      }
+    Summary(rows, modularity)
   }
 }

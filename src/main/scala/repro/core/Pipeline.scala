@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
-import repro.community.{Louvain, LouvainGraphX, Modularity}
+import repro.community.{Louvain, Modularity}
 import repro.data.{Cleaning, MobySynth}
 import repro.data.MobySchema.MobyData
 
@@ -14,8 +14,7 @@ object Pipeline {
   /** All thresholds default to the paper's §IV values (metres). */
   final case class Config(sf: Double = 1.0, seed: Long = 7L,
                           preAssignM: Double = 50.0, hacCutM: Double = 100.0,
-                          centroidSepM: Double = 50.0, minDistM: Double = 250.0,
-                          useGraphXLouvain: Boolean = false)
+                          centroidSepM: Double = 50.0, minDistM: Double = 250.0)
 
   final case class CommunityResult(granularity: TemporalGraphs.Granularity,
                                    summary: CommunityAnalysis.Summary)
@@ -38,30 +37,20 @@ object Pipeline {
   }
 
   /** Louvain + community summary on the selected graph at a granularity
-    * (Tables IV–VI). Uses the exact sequential Louvain unless
-    * `cfg.useGraphXLouvain`; modularity is always recomputed with the
-    * shared [[Modularity]] definition.
+    * (Tables IV–VI), using the exact sequential Louvain; its modularity is
+    * the shared [[Modularity]] definition.
     */
   def communities(spark: SparkSession, selected: SelectedGraph.Result,
-                  g: TemporalGraphs.Granularity,
-                  useGraphX: Boolean = false): CommunityResult = {
+                  g: TemporalGraphs.Granularity): CommunityResult = {
     import spark.implicits._
-    val edges = TemporalGraphs.edges(spark, selected.trips, g)
-    val (community, q) =
-      if (useGraphX) {
-        val r = LouvainGraphX.run(spark, edges)
-        (r.community, r.modularity)
-      } else {
-        val triples = edges.select($"src".cast("long"), $"dst".cast("long"),
-                                   $"weight".cast("double"))
-          .as[(Long, Long, Double)].collect().toSeq
-        val r = Louvain.run(triples)
-        (r.community, r.modularity)
-      }
-    // nodes with no surviving edge weight (possible under affinity
-    // damping) become singleton communities
+    val triples = TemporalGraphs.edges(spark, selected.trips, g)
+      .select($"src".cast("long"), $"dst".cast("long"), $"weight".cast("double"))
+      .as[(Long, Long, Double)].collect().toSeq
+    val r = Louvain.run(triples)
+    // a final station that no trip touches has no edge, so Louvain never
+    // sees it; it becomes a singleton community
     val allNodes = selected.nodes.select($"node_id").as[Long].collect()
-    val full = allNodes.map(n => n -> community.getOrElse(n, n)).toMap
-    CommunityResult(g, CommunityAnalysis.summarize(spark, selected, full, q))
+    val full = allNodes.map(n => n -> r.community.getOrElse(n, n)).toMap
+    CommunityResult(g, CommunityAnalysis.summarize(spark, selected, full, r.modularity))
   }
 }

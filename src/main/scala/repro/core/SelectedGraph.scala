@@ -22,25 +22,26 @@ object SelectedGraph {
     */
   final case class Result(nodes: DataFrame, trips: DataFrame) {
     def stats: Stats = {
+      val pairs = CandidateGraph.endpoints(trips)
+      val edges = pairs.distinct
+      val isNew = nodeFlags(nodes)
       def grp(newFlag: Boolean): GroupStats = {
-        val ids = nodes.filter(col("is_new") === newFlag).select(col("node_id"))
-        val edges = trips.select(col("src_node"), col("dst_node")).distinct()
+        val ids = isNew.collect { case (id, f) if f == newFlag => id }
+        val inGroup = ids.toSet
         GroupStats(
-          stations = ids.count(),
-          tripsFrom = trips.join(ids.withColumnRenamed("node_id", "src_node"),
-                                 Seq("src_node"), "left_semi").count(),
-          tripsTo = trips.join(ids.withColumnRenamed("node_id", "dst_node"),
-                               Seq("dst_node"), "left_semi").count(),
-          edgesFrom = edges.join(ids.withColumnRenamed("node_id", "src_node"),
-                                 Seq("src_node"), "left_semi").count(),
-          edgesTo = edges.join(ids.withColumnRenamed("node_id", "dst_node"),
-                               Seq("dst_node"), "left_semi").count())
+          stations = ids.length,
+          tripsFrom = pairs.count(p => inGroup(p._1)), tripsTo = pairs.count(p => inGroup(p._2)),
+          edgesFrom = edges.count(e => inGroup(e._1)), edgesTo = edges.count(e => inGroup(e._2)))
       }
       Stats(grp(newFlag = false), grp(newFlag = true),
-            totalStations = nodes.count(), totalTrips = trips.count(),
-            totalEdges = trips.select(col("src_node"), col("dst_node")).distinct().count())
+            totalStations = isNew.length, totalTrips = pairs.length, totalEdges = edges.length)
     }
   }
+
+  /** Every node's (node_id, is_new), collected to the driver. */
+  private[core] def nodeFlags(nodes: DataFrame): Array[(Long, Boolean)] =
+    nodes.select(col("node_id").cast("long"), col("is_new")).collect()
+      .map(r => (r.getLong(0), r.getBoolean(1)))
 
   /** Redirect trips at rejected candidates to the nearest final station. */
   def build(spark: SparkSession, candidate: CandidateGraph.Result,

@@ -78,31 +78,4 @@ class ModularitySpec extends SparkSpec {
       }
     }
   }
-
-  test("spark implementation matches local on the two-triangle graph") {
-    import spark.implicits._
-    val edges = twoTriangles.toDF("src", "dst", "weight")
-    val assign = goodSplit.toSeq.toDF("id", "community")
-    val q = Modularity.spark(edges, assign)
-    assert(math.abs(q - Modularity.local(twoTriangles, goodSplit)) < 1e-9)
-  }
-
-  test("spark implementation matches local on random weighted graphs with loops") {
-    import spark.implicits._
-    val rnd = new scala.util.Random(17)
-    (1 to 5).foreach { _ =>
-      val n = 3 + rnd.nextInt(15)
-      val edges = (for {
-        i <- 1L to n.toLong; j <- i to n.toLong
-        if rnd.nextDouble() < 0.4
-      } yield (i, j, rnd.nextDouble() * 5 + 0.1)).toSeq
-      if (edges.nonEmpty) {
-        val comm = (1L to n.toLong).map(v => v -> (1L + rnd.nextInt(3)).toLong).toMap
-        val qL = Modularity.local(edges, comm)
-        val qS = Modularity.spark(edges.toDF("src", "dst", "weight"),
-                                  comm.toSeq.toDF("id", "community"))
-        assert(math.abs(qL - qS) < 1e-9, s"local=$qL spark=$qS")
-      }
-    }
-  }
 }

@@ -76,6 +76,38 @@ class CandidateGraphSpec extends SparkSpec {
     assert(stats.directedEdgesNoLoops <= 2 * stats.undirectedEdgesNoLoops)
   }
 
+  test("stats: exact Table II counts on a hand-built graph") {
+    // directed pairs 1→2, 2→1, 1→1, A→1, B→A, 2→A; undirected {1,2},
+    // {1,1}, {1,A}, {A,B}, {2,A}
+    assert(HandBuiltGraph.candidate(spark).stats === CandidateGraph.Stats(
+      nNodes = 4, nStationNodes = 2, nCandidateNodes = 2,
+      undirectedEdges = 5, undirectedEdgesNoLoops = 4,
+      directedEdges = 6, directedEdgesNoLoops = 5, nTrips = 7))
+  }
+
+  test("stats match DuckDB oracle") {
+    import spark.implicits._
+    val s = stats
+    Oracle.assertEquivalent(
+      Seq((s.nNodes, s.nStationNodes, s.nCandidateNodes, s.undirectedEdges,
+           s.undirectedEdgesNoLoops, s.directedEdges, s.directedEdgesNoLoops, s.nTrips))
+        .toDF("n_nodes", "n_station", "n_candidate", "undirected", "undirected_no_loops",
+              "directed", "directed_no_loops", "n_trips"),
+      """WITH p AS (SELECT CAST(src_node AS BIGINT) AS s, CAST(dst_node AS BIGINT) AS d FROM trips),
+        |dir AS (SELECT DISTINCT s, d FROM p),
+        |und AS (SELECT DISTINCT least(s, d) AS a, greatest(s, d) AS b FROM p)
+        |SELECT (SELECT COUNT(*) FROM nodes) AS n_nodes,
+        |(SELECT COUNT(*) FROM nodes WHERE is_station = 'true') AS n_station,
+        |(SELECT COUNT(*) FROM nodes WHERE is_station = 'false') AS n_candidate,
+        |(SELECT COUNT(*) FROM und) AS undirected,
+        |(SELECT COUNT(*) FROM und WHERE a <> b) AS undirected_no_loops,
+        |(SELECT COUNT(*) FROM dir) AS directed,
+        |(SELECT COUNT(*) FROM dir WHERE s <> d) AS directed_no_loops,
+        |(SELECT COUNT(*) FROM p) AS n_trips""".stripMargin,
+      "trips" -> cand.trips.select($"src_node", $"dst_node"),
+      "nodes" -> cand.nodes.select($"node_id", $"is_station"))
+  }
+
   test("every trip endpoint maps to an existing node") {
     import spark.implicits._
     val nodeIds = cand.nodes.select($"node_id")

@@ -116,6 +116,23 @@ class CommunityAnalysisSpec extends SparkSpec {
       "comm" -> commDf)
   }
 
+  test("a station with no trips keeps its row; unmapped nodes are left out") {
+    val g = mkSelected(
+      nodes = Seq(
+        (1L, 53.33, -6.26, true, false), (2L, 53.34, -6.27, false, true),
+        (5L, 53.35, -6.28, true, false),
+        (6L, 53.36, -6.29, false, true),  // final station, no trips
+        (7L, 53.37, -6.30, true, false)), // not in the community map
+      trips = Seq((1L, 1L, 2L), (2L, 2L, 1L), (3L, 5L, 5L), (4L, 7L, 1L), (5L, 1L, 7L)))
+    val s = CommunityAnalysis.summarize(spark, g, Map(1L -> 10L, 2L -> 10L, 5L -> 8L, 6L -> 6L),
+                                        modularity = 0.0)
+    // ties on size keep ascending raw id: 6 before 8
+    assert(s.rows === Seq(
+      CommunityAnalysis.CommunityRow(1L, 1L, 1L, 2L, within = 2L, out = 0L, in = 0L),
+      CommunityAnalysis.CommunityRow(2L, 0L, 1L, 1L, within = 0L, out = 0L, in = 0L),
+      CommunityAnalysis.CommunityRow(3L, 1L, 0L, 1L, within = 1L, out = 0L, in = 0L)))
+  }
+
   test("empty communities never appear (every row has >= 1 station)") {
     assert(summary.rows.forall(_.totalStations >= 1))
   }

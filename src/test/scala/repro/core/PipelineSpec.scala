@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.community.{Louvain, LouvainGraphX}
 
 /** End-to-end integration tests at small scale: the full paper pipeline
   * from synthesis through community detection, checking the qualitative
@@ -63,15 +62,6 @@ class PipelineSpec extends SparkSpec {
   test("temporal granularity raises modularity (paper: 0.25 -> 0.32 -> 0.54)") {
     assert(day.summary.modularity > basic.summary.modularity - 0.02)
     assert(hourly.summary.modularity > basic.summary.modularity)
-  }
-
-  test("GraphX Louvain agrees with sequential on the selected graph") {
-    import spark.implicits._
-    val edges = TemporalGraphs.edges(spark, res.selected.trips, TemporalGraphs.TNull)
-    val seq = Louvain.run(edges.as[(Long, Long, Double)].collect().toSeq)
-    val par = LouvainGraphX.run(spark, edges)
-    assert(par.modularity > seq.modularity - 0.05,
-      s"graphx ${par.modularity} vs sequential ${seq.modularity}")
   }
 
   test("pipeline is deterministic end to end") {

@@ -95,6 +95,46 @@ class SelectedGraphSpec extends SparkSpec {
       "nodes" -> graph.nodes.select($"node_id", $"is_new".cast("string") as "is_new"))
   }
 
+  test("stats: exact Table III counts on a hand-built graph") {
+    val g = SelectedGraph.build(spark, HandBuiltGraph.candidate(spark), HandBuiltGraph.selection)
+    // B→A is redirected to 2→A, so the trips are 1→2 ×2, 2→1, 1→1, A→1,
+    // 2→A ×2 and the distinct edges 1→2, 2→1, 1→1, A→1, 2→A
+    assert(g.stats === SelectedGraph.Stats(
+      preExisting = SelectedGraph.GroupStats(stations = 2, tripsFrom = 6, tripsTo = 5,
+                                             edgesFrom = 4, edgesTo = 4),
+      selected = SelectedGraph.GroupStats(stations = 1, tripsFrom = 1, tripsTo = 2,
+                                          edgesFrom = 1, edgesTo = 1),
+      totalStations = 3, totalTrips = 7, totalEdges = 5))
+  }
+
+  test("stats match DuckDB oracle") {
+    import spark.implicits._
+    def row(isNew: Boolean, g: SelectedGraph.GroupStats) =
+      (isNew.toString, g.stations, g.tripsFrom, g.tripsTo, g.edgesFrom, g.edgesTo,
+       stats.totalStations, stats.totalTrips, stats.totalEdges)
+    Oracle.assertEquivalent(
+      Seq(row(isNew = false, stats.preExisting), row(isNew = true, stats.selected))
+        .toDF("is_new", "stations", "trips_from", "trips_to", "edges_from", "edges_to",
+              "total_stations", "total_trips", "total_edges"),
+      """WITH e AS (SELECT DISTINCT src_node, dst_node FROM trips)
+        |SELECT g.is_new AS is_new,
+        |(SELECT COUNT(*) FROM nodes n WHERE n.is_new = g.is_new) AS stations,
+        |(SELECT COUNT(*) FROM trips t JOIN nodes n ON t.src_node = n.node_id
+        |  WHERE n.is_new = g.is_new) AS trips_from,
+        |(SELECT COUNT(*) FROM trips t JOIN nodes n ON t.dst_node = n.node_id
+        |  WHERE n.is_new = g.is_new) AS trips_to,
+        |(SELECT COUNT(*) FROM e JOIN nodes n ON e.src_node = n.node_id
+        |  WHERE n.is_new = g.is_new) AS edges_from,
+        |(SELECT COUNT(*) FROM e JOIN nodes n ON e.dst_node = n.node_id
+        |  WHERE n.is_new = g.is_new) AS edges_to,
+        |(SELECT COUNT(*) FROM nodes) AS total_stations,
+        |(SELECT COUNT(*) FROM trips) AS total_trips,
+        |(SELECT COUNT(*) FROM e) AS total_edges
+        |FROM (VALUES ('false'), ('true')) g(is_new)""".stripMargin,
+      "trips" -> graph.trips.select($"src_node", $"dst_node"),
+      "nodes" -> graph.nodes.select($"node_id", $"is_new"))
+  }
+
   test("selected stations gain trips only from their own or rejected clusters") {
     import spark.implicits._
     // a selected station's trips after redirection >= its trips before
