@@ -1,34 +1,28 @@
 package repro.cluster
 
-import org.apache.spark.graphx.{Edge, Graph}
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
 import repro.geo.Haversine
 
 /** Complete-linkage hierarchical agglomerative clustering with a diameter
-  * cut (the paper's §IV-A graph-construction step).
+  * cut (the paper's §IV-A graph-construction step), run on the driver.
   *
   * Exactness at scale: under complete linkage with cut `cutM`, no cluster
   * may contain two points further than `cutM` apart, so clusters can never
   * span two connected components of the "within cutM" proximity graph.
   * We therefore:
   *
-  *   1. build ≤`cutM` neighbour pairs with [[SpatialGrid]] (Spark SQL);
-  *   2. partition points into proximity components with GraphX
-  *      connected components (message passing);
+  *   1. build ≤`cutM` neighbour pairs with [[SpatialGrid]];
+  *   2. partition points into proximity components by union-find over
+  *      those pairs;
   *   3. run *exact* complete-linkage HAC independently inside each
-  *      component (`flatMapGroups`, executor-side, O(k²) per component);
+  *      component (packed distance matrix, O(k²) memory per component);
   *   4. optionally enforce the paper's Rule 2 (cluster centroids >= 50 m
   *      apart) by iteratively merging the closest centroid pair below the
-  *      threshold (driver-side; cluster count is ~1k).
+  *      threshold (cluster count is ~1k).
   *
   * Cluster ids are the minimum member point id — stable and deterministic.
   */
 object HAC {
-
-  /** Assignment of one point to its cluster. */
-  final case class Assignment(id: Long, cluster_id: Long)
 
   /** One cluster centroid. */
   final case class Centroid(cluster_id: Long, c_lat: Double, c_lon: Double, n_points: Long)
@@ -126,92 +120,78 @@ object HAC {
     Array.tabulate(n) { k => labelOf.getOrElseUpdate(root(k), labelOf.size) }
   }
 
-  /** Cluster `points` (columns: id, lat, lon) with complete linkage and
-    * diameter cut `cutM`; if `minCentroidSepM` > 0, post-merge clusters
-    * whose centroids are closer than that (paper Rule 2).
+  /** Cluster `points` (id, lat, lon) with complete linkage and diameter
+    * cut `cutM`; if `minCentroidSepM` > 0, post-merge clusters whose
+    * centroids are closer than that (paper Rule 2). Returns every point's
+    * (id, cluster_id) in ascending id order, and the centroids in ascending
+    * cluster id order. The result does not depend on the input order.
+    */
+  def clusterPoints(points: Array[(Long, Double, Double)], cutM: Double,
+                    minCentroidSepM: Double = 0.0): (Array[(Long, Long)], Seq[Centroid]) = {
+    val pts = points.sortBy(_._1)
+    val (ids, lats, lons) = (pts.map(_._1), pts.map(_._2), pts.map(_._3))
+
+    // proximity components: union-find over the <= cutM pairs
+    val comp = Array.range(0, pts.length)
+    def root(k: Int): Int = { var r = k; while (comp(r) != r) r = comp(r); comp(k) = r; r }
+    for ((i, j, _) <- SpatialGrid.pairs(lats, lons, cutM)) {
+      val (ri, rj) = (root(i), root(j))
+      if (ri != rj) comp(ri max rj) = ri min rj
+    }
+
+    // exact HAC per component, members in ascending id order; a cluster's
+    // id is its smallest member id
+    val clusterOf = new Array[Long](pts.length)
+    for (members <- pts.indices.groupBy(root).values) {
+      val m = members.toArray
+      val labels = localCompleteLinkage(m.map(ids), m.map(lats), m.map(lons), cutM)
+      for (ks <- m.indices.groupBy(labels).values; k <- ks) clusterOf(m(k)) = ids(m(ks.head))
+    }
+
+    // centroid = member mean, summed in ascending id order
+    val cs = pts.indices.groupBy(clusterOf).toSeq.sortBy(_._1).map { case (cid, ks) =>
+      Centroid(cid, ks.map(lats).sum / ks.size, ks.map(lons).sum / ks.size, ks.size)
+    }.toBuffer
+
+    // Rule 2: merge the closest centroid pair below minCentroidSepM until
+    // none is left; O(k²) scans per merge are cheap at ~1k clusters
+    val mergedInto = scala.collection.mutable.HashMap.empty[Long, Long]
+    var done = minCentroidSepM <= 0
+    while (!done) {
+      var bi = -1; var bj = -1; var bd = Double.MaxValue
+      var i = 0
+      while (i < cs.size) {
+        var j = i + 1
+        while (j < cs.size) {
+          val dd = Haversine.metres(cs(i).c_lat, cs(i).c_lon, cs(j).c_lat, cs(j).c_lon)
+          if (dd < minCentroidSepM && dd < bd) { bd = dd; bi = i; bj = j }
+          j += 1
+        }
+        i += 1
+      }
+      if (bi < 0) done = true
+      else {
+        // cs stays sorted by id, so keep has the smaller id and keeps it
+        val (keep, drop) = (cs(bi), cs(bj))
+        val tot = keep.n_points + drop.n_points
+        cs(bi) = Centroid(keep.cluster_id,
+          (keep.c_lat * keep.n_points + drop.c_lat * drop.n_points) / tot,
+          (keep.c_lon * keep.n_points + drop.c_lon * drop.n_points) / tot, tot)
+        cs.remove(bj)
+        mergedInto(drop.cluster_id) = keep.cluster_id
+      }
+    }
+    def merged(c: Long): Long = mergedInto.get(c).fold(c)(merged)
+    (ids.zip(clusterOf.map(merged)), cs.toSeq)
+  }
+
+  /** [[clusterPoints]] over a DataFrame (id, lat, lon), for perfbench's
+    * probes and the specs: assignment (id, cluster_id) and centroids.
     */
   def cluster(spark: SparkSession, points: DataFrame, cutM: Double,
               minCentroidSepM: Double = 0.0): Result = {
     import spark.implicits._
-    val pts = points.select($"id".cast("long"), $"lat".cast("double"), $"lon".cast("double")).cache()
-
-    val pairs = SpatialGrid.neighbourPairs(spark, pts, cutM)
-
-    // GraphX connected components over the proximity graph; isolated
-    // points keep their own id as component.
-    val vertices = pts.select($"id").as[Long].rdd.map(id => (id, ()))
-    val edges = pairs.select($"id_a", $"id_b").as[(Long, Long)].rdd
-      .map { case (a, b) => Edge(a, b, ()) }
-    val comp = Graph(vertices, edges).connectedComponents()
-      .vertices.map { case (id, c) => (id, c) }
-      .toDF("id", "comp")
-
-    val withComp = pts.join(comp, "id")
-
-    val assigned = withComp
-      .select($"comp", $"id", $"lat", $"lon")
-      .as[(Long, Long, Double, Double)]
-      .groupByKey(_._1)
-      .flatMapGroups { (comp, it) =>
-        val members = it.toArray.sortBy(_._2) // deterministic order by id
-        val labels = localCompleteLinkage(
-          members.map(_._2), members.map(_._3), members.map(_._4), cutM)
-        members.indices.map(k => (members(k)._2, comp, labels(k)))
-      }
-      .toDF("id", "comp", "label")
-      .withColumn("cluster_id", min($"id").over(Window.partitionBy($"comp", $"label")))
-      .select($"id", $"cluster_id")
-      .localCheckpoint(true) // truncate GraphX/flatMapGroups lineage
-
-    val base = assigned.join(pts, "id")
-      .groupBy($"cluster_id")
-      .agg(avg($"lat") as "c_lat", avg($"lon") as "c_lon", count(lit(1)) as "n_points")
-
-    if (minCentroidSepM <= 0) {
-      Result(assigned, base.select($"cluster_id", $"c_lat", $"c_lon", $"n_points"))
-    } else {
-      // driver-side proximity merge: cluster count is ~1k, so O(k²) scans
-      // per merge are cheap; merge the closest violating pair first.
-      final case class C(var cid: Long, var lat: Double, var lon: Double, var n: Long)
-      val cs = base.select($"cluster_id", $"c_lat", $"c_lon", $"n_points")
-        .as[(Long, Double, Double, Long)].collect()
-        .sortBy(_._1).map(t => C(t._1, t._2, t._3, t._4))
-        .toBuffer
-      val remap = scala.collection.mutable.HashMap.empty[Long, Long]
-      var done = false
-      while (!done) {
-        var bi = -1; var bj = -1; var bd = Double.MaxValue
-        var i = 0
-        while (i < cs.size) {
-          var j = i + 1
-          while (j < cs.size) {
-            val dd = Haversine.metres(cs(i).lat, cs(i).lon, cs(j).lat, cs(j).lon)
-            if (dd < minCentroidSepM && dd < bd) { bd = dd; bi = i; bj = j }
-            j += 1
-          }
-          i += 1
-        }
-        if (bi < 0) done = true
-        else {
-          val (keep, drop) = (cs(bi), cs(bj))
-          val tot = keep.n + drop.n
-          keep.lat = (keep.lat * keep.n + drop.lat * drop.n) / tot
-          keep.lon = (keep.lon * keep.n + drop.lon * drop.n) / tot
-          val newCid = math.min(keep.cid, drop.cid)
-          remap(drop.cid) = newCid
-          remap(keep.cid) = newCid
-          // re-route earlier remaps that pointed at either member
-          for ((k, v) <- remap if v == keep.cid || v == drop.cid) remap(k) = newCid
-          keep.cid = newCid; keep.n = tot
-          cs.remove(bj)
-        }
-      }
-      val remapDf = remap.toSeq.toDF("cluster_id", "new_cluster_id")
-      val reassigned = assigned.join(remapDf, Seq("cluster_id"), "left")
-        .select($"id", coalesce($"new_cluster_id", $"cluster_id") as "cluster_id")
-      val cents = cs.toSeq.map(c => (c.cid, c.lat, c.lon, c.n))
-        .toDF("cluster_id", "c_lat", "c_lon", "n_points")
-      Result(reassigned, cents)
-    }
+    val (assignment, centroids) = clusterPoints(SpatialGrid.collect(points), cutM, minCentroidSepM)
+    Result(assignment.toSeq.toDF("id", "cluster_id"), centroids.toDF())
   }
 }

@@ -1,9 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
-import repro.cluster.HAC
+import repro.cluster.{HAC, SpatialGrid}
 import repro.data.Cleaning.CleanData
 import repro.geo.Haversine
 
@@ -16,6 +15,9 @@ import repro.geo.Haversine
   * cluster centroids forced >= `centroidSepM` (50 m) apart (Rule 2).
   * Each cluster becomes a *candidate station*; trips become directed
   * edges between the nodes their endpoints map to.
+  * Everything up to the node assignment is plain Scala over one collect of
+  * the cleaned stations and locations (~14 k rows at sf=1); the only Spark
+  * work is the join of the rentals to that assignment.
   */
 object CandidateGraph {
 
@@ -27,7 +29,7 @@ object CandidateGraph {
                          directedEdges: Long, directedEdgesNoLoops: Long, nTrips: Long)
 
   /** @param nodes      node_id, lat, lon, is_station
-    * @param assignment location_id, node_id, dist_to_station_m
+    * @param assignment location_id, node_id
     * @param trips      rental_id, src_node, dst_node, start_ts
     */
   final case class Result(nodes: DataFrame, assignment: DataFrame, trips: DataFrame) {
@@ -55,20 +57,26 @@ object CandidateGraph {
     trips.select(col("src_node").cast("long"), col("dst_node").cast("long")).collect()
       .map(r => (r.getLong(0), r.getLong(1)))
 
-  /** Nearest fixed station for every location: location_id, nearest_station,
-    * station_dist_m. Uses a cross join (|L|·|S| ≈ 1.3 M at sf=1).
+  /** (distance in metres, station id) of each location's nearest fixed
+    * station; ties go to the smaller id. Without stations the distance is
+    * infinite.
+    */
+  private def nearest(locations: Array[(Long, Double, Double)],
+                      stations: Array[(Long, Double, Double)]): Array[(Double, Long)] =
+    locations.map { case (_, la, lo) =>
+      stations.iterator.map(s => (Haversine.metres(la, lo, s._2, s._3), s._1))
+        .minOption.getOrElse((Double.PositiveInfinity, -1L))
+    }
+
+  /** location_id, nearest_station, station_dist_m of every location, for
+    * perfbench's probes and the specs.
     */
   def nearestStation(locations: DataFrame, stations: DataFrame): DataFrame = {
-    val l = locations.select(col("location_id"), col("lat") as "l_lat", col("lon") as "l_lon")
-    val s = stations.select(col("station_id"), col("lat") as "s_lat", col("lon") as "s_lon")
-    val joined = l.crossJoin(s)
-      .withColumn("station_dist_m",
-        Haversine.metresCol(col("l_lat"), col("l_lon"), col("s_lat"), col("s_lon")))
-    val w = Window.partitionBy(col("location_id"))
-      .orderBy(col("station_dist_m").asc, col("station_id").asc)
-    joined.withColumn("rn", row_number().over(w))
-      .filter(col("rn") === 1)
-      .select(col("location_id"), col("station_id") as "nearest_station", col("station_dist_m"))
+    import locations.sparkSession.implicits._
+    val locs = SpatialGrid.collect(locations, "location_id")
+    val near = nearest(locs, SpatialGrid.collect(stations, "station_id"))
+    locs.zip(near).toSeq.collect { case ((id, _, _), (d, st)) if st >= 0 => (id, st, d) }
+      .toDF("location_id", "nearest_station", "station_dist_m")
   }
 
   /** Build the candidate graph from cleaned data. */
@@ -77,38 +85,24 @@ object CandidateGraph {
             centroidSepM: Double = 50.0): Result = {
     import spark.implicits._
 
-    val near = nearestStation(data.locations, data.stations).cache()
+    val stations = SpatialGrid.collect(data.stations, "station_id")
+    val locations = SpatialGrid.collect(data.locations, "location_id")
+    val (preAssigned, toCluster) = locations.zip(nearest(locations, stations))
+      .partition { case (_, (d, _)) => d <= preAssignM }
+    val (clustered, centroids) =
+      HAC.clusterPoints(toCluster.map(_._1), cutM = hacCutM, minCentroidSepM = centroidSepM)
 
-    val preAssigned = near.filter($"station_dist_m" <= preAssignM)
-      .select($"location_id", $"nearest_station" as "node_id", $"station_dist_m")
-
-    val toCluster = data.locations
-      .join(near.filter($"station_dist_m" > preAssignM).select($"location_id", $"station_dist_m"),
-            "location_id")
-      .select($"location_id" as "id", $"lat", $"lon", $"station_dist_m")
-
-    val hac = HAC.cluster(spark, toCluster.select($"id", $"lat", $"lon"),
-                          cutM = hacCutM, minCentroidSepM = centroidSepM)
-
-    val clustered = hac.assignment
-      .join(toCluster.select($"id", $"station_dist_m"), "id")
-      .select($"id" as "location_id",
-              ($"cluster_id" + CandidateOffset) as "node_id",
-              $"station_dist_m")
-
-    // eager localCheckpoint (not cache): truncates the HAC/cross-join
-    // lineage so downstream plans stay small (see MobySynth.generate)
-    val assignment = preAssigned.unionByName(clustered).localCheckpoint(true)
-
-    val stationNodes = data.stations.select(
-      $"station_id" as "node_id", $"lat", $"lon", lit(true) as "is_station")
-    val candidateNodes = hac.centroids.select(
-      ($"cluster_id" + CandidateOffset) as "node_id",
-      $"c_lat" as "lat", $"c_lon" as "lon", lit(false) as "is_station")
-    val nodes = stationNodes.unionByName(candidateNodes).localCheckpoint(true)
+    val assignment = (preAssigned.toSeq.map { case ((id, _, _), (_, st)) => (id, st) } ++
+      clustered.toSeq.map { case (id, cid) => (id, cid + CandidateOffset) })
+      .toDF("location_id", "node_id")
+    val nodes = (stations.toSeq.map { case (id, la, lo) => (id, la, lo, true) } ++
+      centroids.map(c => (c.cluster_id + CandidateOffset, c.c_lat, c.c_lon, false)))
+      .toDF("node_id", "lat", "lon", "is_station")
 
     val srcMap = assignment.select($"location_id" as "rental_location_id", $"node_id" as "src_node")
     val dstMap = assignment.select($"location_id" as "return_location_id", $"node_id" as "dst_node")
+    // eager localCheckpoint: truncates the join lineage so downstream
+    // plans stay small (see MobySynth.generate)
     val trips = data.rentals
       .join(srcMap, "rental_location_id")
       .join(dstMap, "return_location_id")

@@ -1,6 +1,7 @@
 package repro.cluster
 
-import repro.SparkSpec
+import org.scalacheck.{Gen, Prop}
+import repro.{Props, SparkSpec}
 import repro.geo.Haversine
 
 /** Tests for complete-linkage HAC with diameter cut. */
@@ -73,30 +74,6 @@ class HACSpec extends SparkSpec {
   }
 
   test("matches naive exact HAC on small random instances") {
-    // naive: repeatedly merge the globally closest pair of clusters under
-    // complete linkage until min distance > cut
-    def naive(pts: Seq[(Long, Double, Double)], cut: Double): Set[Set[Long]] = {
-      var clusters = pts.map(p => Set(p._1)).toList
-      val coord = pts.map(p => p._1 -> (p._2, p._3)).toMap
-      def cl(a: Set[Long], b: Set[Long]): Double =
-        (for (x <- a; y <- b) yield {
-          val (la1, lo1) = coord(x); val (la2, lo2) = coord(y)
-          Haversine.metres(la1, lo1, la2, lo2)
-        }).max
-      var done = false
-      while (!done && clusters.size > 1) {
-        val pairs = for (i <- clusters.indices; j <- i + 1 until clusters.size)
-          yield (i, j, cl(clusters(i), clusters(j)))
-        val (i, j, d) = pairs.minBy(t => (t._3, t._1, t._2))
-        if (d > cut) done = true
-        else {
-          val merged = clusters(i) ++ clusters(j)
-          clusters = merged :: clusters.zipWithIndex
-            .filter { case (_, k) => k != i && k != j }.map(_._1)
-        }
-      }
-      clusters.toSet
-    }
     val rnd = new scala.util.Random(33)
     (1 to 8).foreach { trial =>
       val pts = (0 until 25).map { i =>
@@ -105,8 +82,17 @@ class HACSpec extends SparkSpec {
       }
       val mine = local(pts, 100.0)
       val mineSets = pts.groupBy(p => mine(p._1)).values.map(_.map(_._1).toSet).toSet
-      assert(mineSets === naive(pts, 100.0), s"trial $trial mismatch")
+      assert(mineSets === PointClouds.naiveHAC(pts, 100.0), s"trial $trial mismatch")
     }
+  }
+
+  test("property: driver HAC equals the naive oracle (duplicates, cell edges)") {
+    Props.check(Prop.forAllNoShrink(PointClouds.gen(30, 400.0, 100.0)) { pts =>
+      val (assign, _) = HAC.clusterPoints(pts.toArray, 100.0)
+      val clusters = assign.groupBy(_._2).map { case (cid, ms) => cid -> ms.map(_._1).toSet }
+      clusters.forall { case (cid, ms) => cid == ms.min } &&
+        clusters.values.toSet == PointClouds.naiveHAC(pts, 100.0)
+    })
   }
 
   // ---- distributed cluster() ----
@@ -231,5 +217,24 @@ class HACSpec extends SparkSpec {
     val a = runCluster(pts, 100.0, 50.0).assignment.as[(Long, Long)].collect().toMap
     val b = runCluster(pts, 100.0, 50.0).assignment.as[(Long, Long)].collect().toMap
     assert(a === b)
+  }
+
+  test("cluster(): zero points give an empty assignment and no centroids") {
+    val res = runCluster(Seq.empty, 100.0, 50.0)
+    assert(res.assignment.columns.toSeq === Seq("id", "cluster_id"))
+    assert(res.assignment.count() === 0L)
+    assert(res.centroids.count() === 0L)
+  }
+
+  test("property: cluster() is invariant under permutation of the input rows") {
+    import spark.implicits._
+    def run(pts: Seq[(Long, Double, Double)]) = {
+      val res = runCluster(pts, 100.0, 50.0)
+      (res.assignment.as[(Long, Long)].collect().toMap,
+       res.centroids.as[HAC.Centroid].collect().toSet)
+    }
+    Props.check(Prop.forAllNoShrink(PointClouds.gen(60, 600.0, 100.0), Gen.long) { (pts, seed) =>
+      run(pts) == run(new scala.util.Random(seed).shuffle(pts))
+    }, minSuccessful = 25)
   }
 }

@@ -1,6 +1,7 @@
 package repro.cluster
 
-import repro.SparkSpec
+import org.scalacheck.Prop
+import repro.{Props, SparkSpec}
 import repro.geo.Haversine
 
 /** Grid blocking must return exactly the brute-force neighbour pairs. */
@@ -13,12 +14,6 @@ class SpatialGridSpec extends SparkSpec {
     }
   }
 
-  private def brute(pts: Seq[(Long, Double, Double)], t: Double): Set[(Long, Long)] =
-    (for {
-      a <- pts; b <- pts if a._1 < b._1
-      if Haversine.metres(a._2, a._3, b._2, b._3) <= t
-    } yield (a._1, b._1)).toSet
-
   private def grid(pts: Seq[(Long, Double, Double)], t: Double): Set[(Long, Long)] = {
     import spark.implicits._
     SpatialGrid.neighbourPairs(spark, pts.toDF("id", "lat", "lon"), t)
@@ -27,17 +22,17 @@ class SpatialGridSpec extends SparkSpec {
 
   test("matches brute force at 100 m on 200 clustered points") {
     val pts = randomPoints(200, 1)
-    assert(grid(pts, 100.0) === brute(pts, 100.0))
+    assert(grid(pts, 100.0) === PointClouds.brutePairs(pts, 100.0))
   }
 
   test("matches brute force at 50 m") {
     val pts = randomPoints(150, 2)
-    assert(grid(pts, 50.0) === brute(pts, 50.0))
+    assert(grid(pts, 50.0) === PointClouds.brutePairs(pts, 50.0))
   }
 
   test("matches brute force at 250 m") {
     val pts = randomPoints(120, 3)
-    assert(grid(pts, 250.0) === brute(pts, 250.0))
+    assert(grid(pts, 250.0) === PointClouds.brutePairs(pts, 250.0))
   }
 
   test("no pairs when all points are far apart") {
@@ -79,4 +74,15 @@ class SpatialGridSpec extends SparkSpec {
     assert(grid(pts, 100.5) === Set((1L, 2L)))
     assert(grid(pts, 99.5) === Set.empty[(Long, Long)])
   }
+
+  for (t <- Seq(50.0, 100.0, 250.0))
+    test(s"property: driver pairs equal brute force at ${t.toInt} m (duplicates, cell edges)") {
+      Props.check(Prop.forAllNoShrink(PointClouds.gen(120, 5 * t, t)) { pts =>
+        val arr = pts.toArray
+        val got = SpatialGrid.pairs(arr.map(_._2), arr.map(_._3), t).map { case (i, j, _) =>
+          (arr(i)._1 min arr(j)._1, arr(i)._1 max arr(j)._1)
+        }
+        got.length == got.distinct.length && got.toSet == PointClouds.brutePairs(pts, t)
+      })
+    }
 }

@@ -48,6 +48,25 @@ class CandidateGraphSpec extends SparkSpec {
     }
   }
 
+  test("every location within preAssignM of a station: no candidates, every rental a trip") {
+    import spark.implicits._
+    val ts = java.sql.Timestamp.valueOf("2020-06-01 10:00:00")
+    val m = Haversine.MetresPerDegLat
+    val stations = Seq((1, 53.34, -6.26), (2, 53.35, -6.26)).toDF("station_id", "lat", "lon")
+    val locations = Seq((10L, 53.34 + 10 / m, -6.26), (11L, 53.34 - 40 / m, -6.26),
+                        (12L, 53.35, -6.26), (13L, 53.35 + 49 / m, -6.26))
+      .toDF("location_id", "lat", "lon")
+    val rentals = Seq((1L, 10L, 12L), (2L, 12L, 10L), (3L, 11L, 13L), (4L, 13L, 13L), (5L, 10L, 11L))
+      .map { case (id, from, to) => (id, 7L, ts, ts, from, to) }
+      .toDF("rental_id", "bike_id", "start_ts", "end_ts", "rental_location_id", "return_location_id")
+    val g = CandidateGraph.build(spark, Cleaning.CleanData(stations, locations, rentals))
+    assert(g.assignment.as[(Long, Long)].collect().toMap ===
+      Map(10L -> 1L, 11L -> 1L, 12L -> 2L, 13L -> 2L))
+    val s = g.stats
+    assert((s.nNodes, s.nStationNodes, s.nCandidateNodes) === ((2L, 2L, 0L)))
+    assert(s.nTrips === 5L)
+  }
+
   test("station nodes carry station coords; candidate nodes carry centroids") {
     import spark.implicits._
     val stationNodes = cand.nodes.filter($"is_station")

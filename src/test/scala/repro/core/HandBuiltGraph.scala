@@ -33,7 +33,7 @@ object HandBuiltGraph {
     CandidateGraph.Result(
       nodes = coords.map { case (id, la, lo) => (id, la, lo, id < CandidateGraph.CandidateOffset) }
         .toDF("node_id", "lat", "lon", "is_station"),
-      assignment = Seq.empty[(Long, Long, Double)].toDF("location_id", "node_id", "dist_to_station_m"),
+      assignment = Seq.empty[(Long, Long)].toDF("location_id", "node_id"),
       trips = trips.map { case (id, s, d) => (id, s, d, ts) }
         .toDF("rental_id", "src_node", "dst_node", "start_ts"))
   }
