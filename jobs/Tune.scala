@@ -12,7 +12,6 @@ import repro.core._
 object Tune {
   def main(args: Array[String]): Unit =
     JobUtil.run("moby-tune", args) { (spark, res) =>
-      import spark.implicits._
       val s2 = res.candidate.stats
       println(s"TableII: nodes=${s2.nNodes} undirected=${s2.undirectedEdges} " +
         s"directed=${s2.directedEdges} trips=${s2.nTrips}")
@@ -26,9 +25,7 @@ object Tune {
 
       for (g <- Seq(TemporalGraphs.TNull, TemporalGraphs.TDay, TemporalGraphs.THour);
            gamma <- if (g == TemporalGraphs.TNull) Seq(1.0) else Seq(2.0, 3.0, 4.0, 5.0, 6.0)) {
-        val edges = TemporalGraphs.edges(spark, res.selected.trips, g, gamma)
-          .as[(Long, Long, Double)].collect().toSeq
-        val r = Louvain.run(edges)
+        val r = Louvain.run(TemporalGraphs.weights(res.selected.graph, g, gamma))
         val nComm = r.community.values.toSet.size
         println(f"louvain ${g.name}%-7s gamma=$gamma%.1f -> communities=$nComm Q=${r.modularity}%.3f")
       }

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.cluster.{HAC, SpatialGrid}
 import repro.data.Cleaning.CleanData
 import repro.geo.Haversine
@@ -17,7 +16,8 @@ import repro.geo.Haversine
   * edges between the nodes their endpoints map to.
   * Everything up to the node assignment is plain Scala over one collect of
   * the cleaned stations and locations (~14 k rows at sf=1); the only Spark
-  * work is the join of the rentals to that assignment.
+  * work is the join of the rentals to that assignment, collected once into
+  * the [[TripGraph]] that every later step reads.
   */
 object CandidateGraph {
 
@@ -28,34 +28,28 @@ object CandidateGraph {
                          undirectedEdges: Long, undirectedEdgesNoLoops: Long,
                          directedEdges: Long, directedEdgesNoLoops: Long, nTrips: Long)
 
-  /** @param nodes      node_id, lat, lon, is_station
+  /** @param graph      nodes and trips after HAC
     * @param assignment location_id, node_id
-    * @param trips      rental_id, src_node, dst_node, start_ts
     */
-  final case class Result(nodes: DataFrame, assignment: DataFrame, trips: DataFrame) {
+  final case class Result(graph: TripGraph, assignment: DataFrame) {
+    /** Views of the graph for the specs, the DuckDB oracle and perfbench. */
+    lazy val nodes: DataFrame = graph.nodesDF
+    lazy val trips: DataFrame = graph.tripsDF
+
     def stats: Stats = {
-      val pairs = endpoints(trips)
+      val pairs = graph.trips.map(t => (t.src, t.dst))
       val directed = pairs.toSet
       val undirected = directed.map { case (s, d) => (s min d, s max d) }
       def noLoops(edges: Set[(Long, Long)]): Long = edges.count { case (s, d) => s != d }.toLong
-      val isStation = nodes.select(col("is_station")).collect().map(_.getBoolean(0))
-      val nStation = isStation.count(identity).toLong
+      val nStation = graph.nodes.count(_.isStation).toLong
       Stats(
-        nNodes = isStation.length, nStationNodes = nStation,
-        nCandidateNodes = isStation.length - nStation,
+        nNodes = graph.nodes.length, nStationNodes = nStation,
+        nCandidateNodes = graph.nodes.length - nStation,
         undirectedEdges = undirected.size, undirectedEdgesNoLoops = noLoops(undirected),
         directedEdges = directed.size, directedEdgesNoLoops = noLoops(directed),
         nTrips = pairs.length)
     }
   }
-
-  /** Every trip's (src_node, dst_node), collected to the driver. The graph
-    * after HAC is small (~62 k trips at sf=1), so the table counts are
-    * plain Scala over this array rather than Spark jobs.
-    */
-  private[core] def endpoints(trips: DataFrame): Array[(Long, Long)] =
-    trips.select(col("src_node").cast("long"), col("dst_node").cast("long")).collect()
-      .map(r => (r.getLong(0), r.getLong(1)))
 
   /** (distance in metres, station id) of each location's nearest fixed
     * station; ties go to the smaller id. Without stations the distance is
@@ -95,20 +89,16 @@ object CandidateGraph {
     val assignment = (preAssigned.toSeq.map { case ((id, _, _), (_, st)) => (id, st) } ++
       clustered.toSeq.map { case (id, cid) => (id, cid + CandidateOffset) })
       .toDF("location_id", "node_id")
-    val nodes = (stations.toSeq.map { case (id, la, lo) => (id, la, lo, true) } ++
-      centroids.map(c => (c.cluster_id + CandidateOffset, c.c_lat, c.c_lon, false)))
-      .toDF("node_id", "lat", "lon", "is_station")
+    val nodes = (stations.map { case (id, la, lo) => TripGraph.Node(id, la, lo, isStation = true) } ++
+      centroids.map(c => TripGraph.Node(c.cluster_id + CandidateOffset, c.c_lat, c.c_lon,
+                                        isStation = false))).sortBy(_.id)
 
     val srcMap = assignment.select($"location_id" as "rental_location_id", $"node_id" as "src_node")
     val dstMap = assignment.select($"location_id" as "return_location_id", $"node_id" as "dst_node")
-    // eager localCheckpoint: truncates the join lineage so downstream
-    // plans stay small (see MobySynth.generate)
-    val trips = data.rentals
+    val trips = TripGraph.collectTrips(data.rentals
       .join(srcMap, "rental_location_id")
-      .join(dstMap, "return_location_id")
-      .select($"rental_id", $"src_node", $"dst_node", $"start_ts")
-      .localCheckpoint(true)
+      .join(dstMap, "return_location_id"))
 
-    Result(nodes, assignment, trips)
+    Result(TripGraph(nodes, trips), assignment)
   }
 }

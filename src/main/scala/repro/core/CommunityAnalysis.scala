@@ -34,13 +34,12 @@ object CommunityAnalysis {
   def summarize(spark: SparkSession, selected: SelectedGraph.Result,
                 community: Map[Long, Long], modularity: Double): Summary = {
     val within, out, in = mutable.Map.empty[Long, Long].withDefaultValue(0L)
-    for ((s, d) <- CandidateGraph.endpoints(selected.trips);
-         cs <- community.get(s); cd <- community.get(d)) {
+    for (t <- selected.graph.trips; cs <- community.get(t.src); cd <- community.get(t.dst)) {
       if (cs == cd) within(cs) += 1
       else { out(cs) += 1; in(cd) += 1 }
     }
-    val stations = SelectedGraph.nodeFlags(selected.nodes)
-      .flatMap { case (id, isNew) => community.get(id).map(_ -> isNew) }
+    val stations = selected.graph.nodes
+      .flatMap(n => community.get(n.id).map(_ -> !n.isStation))
       .groupMapReduce(_._1) { case (_, isNew) => if (isNew) (0L, 1L) else (1L, 0L) } {
         case ((o1, n1), (o2, n2)) => (o1 + o2, n1 + n2)
       }

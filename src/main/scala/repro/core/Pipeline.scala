@@ -42,15 +42,10 @@ object Pipeline {
     */
   def communities(spark: SparkSession, selected: SelectedGraph.Result,
                   g: TemporalGraphs.Granularity): CommunityResult = {
-    import spark.implicits._
-    val triples = TemporalGraphs.edges(spark, selected.trips, g)
-      .select($"src".cast("long"), $"dst".cast("long"), $"weight".cast("double"))
-      .as[(Long, Long, Double)].collect().toSeq
-    val r = Louvain.run(triples)
+    val r = Louvain.run(TemporalGraphs.weights(selected.graph, g))
     // a final station that no trip touches has no edge, so Louvain never
     // sees it; it becomes a singleton community
-    val allNodes = selected.nodes.select($"node_id").as[Long].collect()
-    val full = allNodes.map(n => n -> r.community.getOrElse(n, n)).toMap
+    val full = selected.graph.nodes.map(n => n.id -> r.community.getOrElse(n.id, n.id)).toMap
     CommunityResult(g, CommunityAnalysis.summarize(spark, selected, full, r.modularity))
   }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.col
 import repro.geo.Haversine
 
 /** The selected graph (paper §V-B, Table III): pre-existing stations plus
@@ -17,67 +17,47 @@ object SelectedGraph {
   final case class Stats(preExisting: GroupStats, selected: GroupStats,
                          totalStations: Long, totalTrips: Long, totalEdges: Long)
 
-  /** @param nodes node_id, lat, lon, is_station (pre-existing), is_new
-    * @param trips rental_id, src_node, dst_node, start_ts (redirected)
+  /** @param graph the final stations and the redirected trips; a node is
+    *              new iff it is not a fixed station
     */
-  final case class Result(nodes: DataFrame, trips: DataFrame) {
+  final case class Result(graph: TripGraph) {
+    /** Views for the specs, the oracle and perfbench, nodes with is_new. The
+      * eager checkpoint makes collecting the nodes a Spark job, which
+      * perfbench's SmokeSpec asserts in the `core.summarize.hour` span.
+      */
+    val nodes: DataFrame =
+      graph.nodesDF.withColumn("is_new", !col("is_station")).localCheckpoint(true)
+    lazy val trips: DataFrame = graph.tripsDF
+
     def stats: Stats = {
-      val pairs = CandidateGraph.endpoints(trips)
+      val pairs = graph.trips.map(t => (t.src, t.dst))
       val edges = pairs.distinct
-      val isNew = nodeFlags(nodes)
-      def grp(newFlag: Boolean): GroupStats = {
-        val ids = isNew.collect { case (id, f) if f == newFlag => id }
-        val inGroup = ids.toSet
+      def grp(isNew: Boolean): GroupStats = {
+        val inGroup = graph.nodes.collect { case n if n.isStation != isNew => n.id }.toSet
         GroupStats(
-          stations = ids.length,
+          stations = inGroup.size,
           tripsFrom = pairs.count(p => inGroup(p._1)), tripsTo = pairs.count(p => inGroup(p._2)),
           edgesFrom = edges.count(e => inGroup(e._1)), edgesTo = edges.count(e => inGroup(e._2)))
       }
-      Stats(grp(newFlag = false), grp(newFlag = true),
-            totalStations = isNew.length, totalTrips = pairs.length, totalEdges = edges.length)
+      Stats(grp(isNew = false), grp(isNew = true),
+            totalStations = graph.nodes.length, totalTrips = pairs.length, totalEdges = edges.length)
     }
   }
-
-  /** Every node's (node_id, is_new), collected to the driver. */
-  private[core] def nodeFlags(nodes: DataFrame): Array[(Long, Boolean)] =
-    nodes.select(col("node_id").cast("long"), col("is_new")).collect()
-      .map(r => (r.getLong(0), r.getBoolean(1)))
 
   /** Redirect trips at rejected candidates to the nearest final station. */
   def build(spark: SparkSession, candidate: CandidateGraph.Result,
             selection: StationSelection.Result): Result = {
-    import spark.implicits._
-
     val selectedIds = selection.selected.map(_.nodeId).toSet
-    val finalNodes = candidate.nodes
-      .filter($"is_station" || $"node_id".isin(selectedIds.toSeq: _*))
-      .withColumn("is_new", !$"is_station")
-      .localCheckpoint(true)
+    val finals = candidate.graph.nodes.filter(n => n.isStation || selectedIds(n.id))
 
-    // nearest final station for every rejected candidate node (driver-side:
-    // ~1k rejected × ~240 stations)
-    val finals = finalNodes.select($"node_id", $"lat", $"lon")
-      .as[(Long, Double, Double)].collect()
-    val rejected = selection.candidates.filterNot(_.selected)
-    val remap: Map[Long, Long] = rejected.map { r =>
-      val nearest = finals.minBy { case (id, la, lo) =>
-        (Haversine.metres(r.lat, r.lon, la, lo), id)
-      }
-      r.nodeId -> nearest._1
+    // nearest final station for every rejected candidate node (~1k
+    // rejected × ~240 stations)
+    val remap: Map[Long, Long] = selection.candidates.filterNot(_.selected).map { r =>
+      r.nodeId -> finals.minBy(f => (Haversine.metres(r.lat, r.lon, f.lat, f.lon), f.id)).id
     }.toMap
+    def to(node: Long): Long = remap.getOrElse(node, node)
 
-    val remapDf = remap.toSeq.toDF("old_node", "new_node")
-    val trips = candidate.trips
-      .join(remapDf.select($"old_node" as "src_node", $"new_node" as "src_new"),
-            Seq("src_node"), "left")
-      .join(remapDf.select($"old_node" as "dst_node", $"new_node" as "dst_new"),
-            Seq("dst_node"), "left")
-      .select($"rental_id",
-              coalesce($"src_new", $"src_node") as "src_node",
-              coalesce($"dst_new", $"dst_node") as "dst_node",
-              $"start_ts")
-      .localCheckpoint(true)
-
-    Result(finalNodes, trips)
+    Result(TripGraph(finals,
+      candidate.graph.trips.map(t => t.copy(src = to(t.src), dst = to(t.dst)))))
   }
 }

@@ -1,7 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.SparkSession
 import repro.geo.Haversine
 
 /** The paper's Algorithm 1 — station ranking and selection.
@@ -17,8 +16,8 @@ import repro.geo.Haversine
   *     `minDistM` of each other, the lower-degree one is zeroed;
   *   - survivors, ranked by score descending, become new stations.
   *
-  * Degrees are computed in Spark; the rule loop runs on the driver over
-  * the collected candidate summaries (≈1k rows at sf=1).
+  * Degrees and the rule loop are plain Scala over the candidate
+  * [[TripGraph]] (≈1k nodes at sf=1).
   */
 object StationSelection {
 
@@ -29,37 +28,26 @@ object StationSelection {
     def selected: Seq[Candidate] = candidates.filter(_.selected)
   }
 
-  /** Per-node degree: trips from + trips to. Columns: node_id, degree. */
-  def degrees(trips: DataFrame): DataFrame = {
-    trips.select(col("src_node") as "node_id")
-      .unionAll(trips.select(col("dst_node") as "node_id"))
-      .groupBy(col("node_id")).agg(count(lit(1)) as "degree")
-  }
-
   def select(spark: SparkSession, candidate: CandidateGraph.Result,
              minDistM: Double = 250.0): Result = {
-    import spark.implicits._
-    val deg = degrees(candidate.trips)
-    val nodeDeg = candidate.nodes.join(deg, Seq("node_id"), "left")
-      .select($"node_id", $"lat", $"lon", $"is_station",
-              coalesce($"degree", lit(0L)) as "degree")
-      .as[(Long, Double, Double, Boolean, Long)]
-      .collect()
+    val graph = candidate.graph
+    val degree = graph.degrees.withDefaultValue(0L)
 
-    val stations = nodeDeg.filter(_._4)
+    val stations = graph.nodes.filter(_.isStation)
     require(stations.nonEmpty, "no fixed stations")
-    val threshold = stations.map(_._5).min
+    val threshold = stations.map(s => degree(s.id)).min
 
     final case class C(id: Long, lat: Double, lon: Double, deg: Long, var score: Long)
-    val cands = nodeDeg.filterNot(_._4).sortBy(_._1)
-      .map(t => C(t._1, t._2, t._3, t._5, t._5))
+    // the pruning loop below depends on the scan order, so fix it to ascending id
+    val cands = graph.nodes.filterNot(_.isStation).sortBy(_.id)
+      .map(n => C(n.id, n.lat, n.lon, degree(n.id), degree(n.id)))
 
     // Rules 3 and 4
     for (c <- cands) {
       if (c.deg < threshold) c.score = 0
       else {
         val dMin = stations.iterator
-          .map(s => Haversine.metres(c.lat, c.lon, s._2, s._3)).min
+          .map(s => Haversine.metres(c.lat, c.lon, s.lat, s.lon)).min
         if (dMin <= minDistM) c.score = 0
       }
     }

@@ -44,16 +44,13 @@ object TemporalGraphs {
     case THour => hour(startTs)
   }
 
-  /** Node activity profiles: node_id, slice, p (trip-endpoint count).
-    * A trip contributes both its endpoints, so any (i,j,s) trip implies
-    * p_i(s) >= 1 and p_j(s) >= 1.
+  /** Node activity profiles: (node, slice) -> trip-endpoint count of
+    * (src, dst, slice) trips. A trip contributes both its endpoints, so any
+    * (i,j,s) trip implies p_i(s) >= 1 and p_j(s) >= 1.
     */
-  def profiles(trips: DataFrame, g: Granularity): DataFrame = {
-    val withSlice = trips.withColumn("slice", sliceCol(g, col("start_ts")))
-    withSlice.select(col("src_node") as "node_id", col("slice"))
-      .unionAll(withSlice.select(col("dst_node") as "node_id", col("slice")))
-      .groupBy(col("node_id"), col("slice")).agg(count(lit(1)).cast("double") as "p")
-  }
+  def profiles(trips: Seq[(Long, Long, Int)]): Map[(Long, Int), Long] =
+    trips.flatMap { case (s, d, slice) => Seq((s, slice), (d, slice)) }
+      .groupMapReduce(identity)(_ => 1L)(_ + _)
 
   /** Contrast exponent on the co-activity factor (r^γ). γ=1 keeps the
     * raw factor; higher γ amplifies the separation between in-rhythm and
@@ -66,33 +63,32 @@ object TemporalGraphs {
     */
   val DefaultGamma = 6.0
 
-  /** Undirected weighted edge list (src <= dst, weight) for Louvain,
-    * with self-loops included (their trips are co-active by definition —
-    * both endpoints are the same node).
+  /** Undirected weighted edge list (src <= dst, weight) for Louvain, by
+    * (src, dst), self-loops included (their trips are co-active by
+    * definition). Each edge sums its terms in ascending slice order, with
+    * `StrictMath.pow` as Spark's `pow`, so trip order does not matter.
+    */
+  def weights(graph: TripGraph, g: Granularity,
+              gamma: Double = DefaultGamma): Seq[(Long, Long, Double)] = {
+    val sliced = graph.trips.toSeq.map(t => (t.src, t.dst, t.slice(g)))
+    val p = profiles(sliced)
+    val total = p.groupMapReduce(_._1._1)(_._2)(_ + _)
+    def q(node: Long, slice: Int): Double = p((node, slice)).toDouble / total(node)
+    sliced.groupMapReduce { case (s, d, slice) => (s min d, s max d, slice) }(_ => 1L)(_ + _)
+      .groupMap { case ((s, d, _), _) => (s, d) } { case ((_, _, slice), n) => (slice, n) }
+      .toSeq.sortBy(_._1)
+      .map { case ((s, d), perSlice) =>
+        (s, d, perSlice.toSeq.sorted.map { case (slice, n) =>
+          n * StrictMath.pow(g.slices * (q(s, slice) + q(d, slice)) / 2, gamma)
+        }.sum)
+      }.filter(_._3 > 0)
+  }
+
+  /** [[weights]] of a trips DataFrame (rental_id, src_node, dst_node,
+    * start_ts) as a DataFrame: src, dst, weight.
     */
   def edges(spark: SparkSession, trips: DataFrame, g: Granularity,
-            gamma: Double = DefaultGamma): DataFrame = {
-    import spark.implicits._
-    val perSlice = trips
-      .withColumn("slice", sliceCol(g, $"start_ts"))
-      .select(least($"src_node", $"dst_node") as "src",
-              greatest($"src_node", $"dst_node") as "dst", $"slice")
-      .groupBy($"src", $"dst", $"slice").agg(count(lit(1)).cast("double") as "w_s")
-
-    if (g == TNull)
-      return perSlice.groupBy($"src", $"dst").agg(sum($"w_s") as "weight")
-
-    val prof = profiles(trips, g)
-    val q = prof
-      .withColumn("total", sum($"p").over(
-        org.apache.spark.sql.expressions.Window.partitionBy($"node_id")))
-      .select($"node_id", $"slice", ($"p" / $"total") as "q")
-
-    perSlice
-      .join(q.select($"node_id" as "src", $"slice", $"q" as "q_src"), Seq("src", "slice"))
-      .join(q.select($"node_id" as "dst", $"slice", $"q" as "q_dst"), Seq("dst", "slice"))
-      .withColumn("r", pow(lit(g.slices) * ($"q_src" + $"q_dst") / 2, gamma))
-      .groupBy($"src", $"dst").agg(sum($"w_s" * $"r") as "weight")
-      .filter($"weight" > 0)
-  }
+            gamma: Double = DefaultGamma): DataFrame =
+    spark.createDataFrame(weights(TripGraph(Array.empty, TripGraph.collectTrips(trips)), g, gamma))
+      .toDF("src", "dst", "weight")
 }

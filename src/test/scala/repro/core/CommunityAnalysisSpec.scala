@@ -1,26 +1,22 @@
 package repro.core
 
-import java.sql.Timestamp
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 
 /** Tests for the community summary tables (Tables IV-VI shape). */
 class CommunityAnalysisSpec extends SparkSpec {
 
-  private def mkSelected(nodes: Seq[(Long, Double, Double, Boolean, Boolean)],
-                         trips: Seq[(Long, Long, Long)]): SelectedGraph.Result = {
-    import spark.implicits._
-    SelectedGraph.Result(
-      nodes.toDF("node_id", "lat", "lon", "is_station", "is_new"),
-      trips.map { case (id, s, d) => (id, s, d, Timestamp.valueOf("2020-06-01 10:00:00")) }
-        .toDF("rental_id", "src_node", "dst_node", "start_ts"))
-  }
+  /** A node is new iff it is not a fixed station, so is_new is !is_station. */
+  private def mkSelected(nodes: Seq[(Long, Double, Double, Boolean)],
+                         trips: Seq[(Long, Long, Long)]): SelectedGraph.Result =
+    SelectedGraph.Result(TestGraphs.graph(nodes,
+      trips.map { case (id, s, d) => TestGraphs.trip(id, s, d) }))
 
   private lazy val toy = mkSelected(
     nodes = Seq(
-      (1L, 53.33, -6.26, true, false), (2L, 53.34, -6.27, true, false),
-      (3L, 53.35, -6.28, false, true), (4L, 53.36, -6.29, false, true),
-      (5L, 53.37, -6.30, true, false)),
+      (1L, 53.33, -6.26, true), (2L, 53.34, -6.27, true),
+      (3L, 53.35, -6.28, false), (4L, 53.36, -6.29, false),
+      (5L, 53.37, -6.30, true)),
     trips = Seq(
       (1L, 1L, 2L), (2L, 2L, 1L), (3L, 1L, 1L), // inside community A
       (4L, 3L, 4L), (5L, 4L, 3L),               // inside community B
@@ -119,10 +115,10 @@ class CommunityAnalysisSpec extends SparkSpec {
   test("a station with no trips keeps its row; unmapped nodes are left out") {
     val g = mkSelected(
       nodes = Seq(
-        (1L, 53.33, -6.26, true, false), (2L, 53.34, -6.27, false, true),
-        (5L, 53.35, -6.28, true, false),
-        (6L, 53.36, -6.29, false, true),  // final station, no trips
-        (7L, 53.37, -6.30, true, false)), // not in the community map
+        (1L, 53.33, -6.26, true), (2L, 53.34, -6.27, false),
+        (5L, 53.35, -6.28, true),
+        (6L, 53.36, -6.29, false),  // final station, no trips
+        (7L, 53.37, -6.30, true)), // not in the community map
       trips = Seq((1L, 1L, 2L), (2L, 2L, 1L), (3L, 5L, 5L), (4L, 7L, 1L), (5L, 1L, 7L)))
     val s = CommunityAnalysis.summarize(spark, g, Map(1L -> 10L, 2L -> 10L, 5L -> 8L, 6L -> 6L),
                                         modularity = 0.0)

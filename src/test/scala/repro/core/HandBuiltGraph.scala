@@ -1,6 +1,5 @@
 package repro.core
 
-import java.sql.Timestamp
 import org.apache.spark.sql.SparkSession
 
 /** A candidate graph small enough to count Tables II and III by hand.
@@ -29,12 +28,10 @@ object HandBuiltGraph {
 
   def candidate(spark: SparkSession): CandidateGraph.Result = {
     import spark.implicits._
-    val ts = Timestamp.valueOf("2020-06-01 10:00:00")
     CandidateGraph.Result(
-      nodes = coords.map { case (id, la, lo) => (id, la, lo, id < CandidateGraph.CandidateOffset) }
-        .toDF("node_id", "lat", "lon", "is_station"),
-      assignment = Seq.empty[(Long, Long)].toDF("location_id", "node_id"),
-      trips = trips.map { case (id, s, d) => (id, s, d, ts) }
-        .toDF("rental_id", "src_node", "dst_node", "start_ts"))
+      TestGraphs.graph(
+        coords.map { case (id, la, lo) => (id, la, lo, id < CandidateGraph.CandidateOffset) },
+        trips.map { case (id, s, d) => TestGraphs.trip(id, s, d) }),
+      assignment = Seq.empty[(Long, Long)].toDF("location_id", "node_id"))
   }
 }

@@ -1,6 +1,9 @@
 package repro.core
 
+import scala.collection.mutable
 import repro.SparkSpec
+import repro.community.Louvain
+import repro.report.PaperTables
 
 /** End-to-end integration tests at small scale: the full paper pipeline
   * from synthesis through community detection, checking the qualitative
@@ -64,12 +67,51 @@ class PipelineSpec extends SparkSpec {
     assert(hourly.summary.modularity > basic.summary.modularity)
   }
 
+  private def tables(report: repro.data.Cleaning.Report, candidate: CandidateGraph.Result,
+                     selected: SelectedGraph.Result,
+                     communities: Seq[Pipeline.CommunityResult]): Seq[String] = {
+    import PaperTables._
+    Seq(tableI(report), tableII(candidate.stats), tableIII(selected.stats)) ++
+      communities.zip(Seq(("IV", PaperBasic, PaperBasicRows), ("V", PaperDay, PaperDayRows),
+                          ("VI", PaperHour, PaperHourRows))).map {
+        case (c, (name, paper, rows)) => tableCommunity(s"TABLE $name", paper, rows, c.summary)
+      }
+  }
+
   test("pipeline is deterministic end to end") {
-    val res2 = Pipeline.run(spark, cfg)
+    // the fixtures run at the suite's shuffle-partition count; the second
+    // run at 64 must render the same Tables I-VI, Q included
+    val first = tables(res.report, res.candidate, res.selected, Seq(basic, day, hourly))
+    val key = "spark.sql.shuffle.partitions"
+    val suitePartitions = spark.conf.get(key)
+    val (res2, second) = try {
+      spark.conf.set(key, "64")
+      val r = Pipeline.run(spark, cfg)
+      (r, tables(r.report, r.candidate, r.selected,
+                 Seq(TemporalGraphs.TNull, TemporalGraphs.TDay, TemporalGraphs.THour)
+                   .map(Pipeline.communities(spark, r.selected, _))))
+    } finally spark.conf.set(key, suitePartitions)
     assert(res2.selection.selected.map(_.nodeId) === res.selection.selected.map(_.nodeId))
-    val basic2 = Pipeline.communities(spark, res2.selected, TemporalGraphs.TNull)
-    assert(basic2.summary.rows === basic.summary.rows)
-    assert(basic2.summary.modularity === basic.summary.modularity)
+    assert(second === first)
+  }
+
+  test("every Louvain community induces a connected subgraph at every granularity") {
+    for (g <- Seq(TemporalGraphs.TNull, TemporalGraphs.TDay, TemporalGraphs.THour)) {
+      val edges = TemporalGraphs.weights(res.selected.graph, g)
+      val community = Louvain.run(edges).community
+      val adj = edges.collect { case (s, d, _) if s != d && community(s) == community(d) =>
+        Seq(s -> d, d -> s) }.flatten.groupMap(_._1)(_._2)
+      for ((c, members) <- community.groupMap(_._2)(_._1)) {
+        val seen = mutable.Set(members.head)
+        var frontier = List(members.head)
+        while (frontier.nonEmpty) {
+          val v = frontier.head
+          frontier = frontier.tail
+          for (u <- adj.getOrElse(v, Nil) if seen.add(u)) frontier ::= u
+        }
+        assert(seen.size === members.size, s"${g.name} community $c is disconnected")
+      }
+    }
   }
 
   test("selected graph has fewer nodes than candidate graph (complexity reduction)") {

@@ -2,7 +2,8 @@ package repro.core
 
 import java.sql.Timestamp
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import org.scalacheck.{Gen, Prop}
+import repro.{Oracle, Props, SparkSpec}
 
 /** Tests for the temporal graph builders (G_Basic, G_Day, G_Hour) with
   * co-activity weighting: w_T(i,j) = Σ_s #trips(i,j,s)·r^γ where
@@ -73,15 +74,13 @@ class TemporalGraphsSpec extends SparkSpec {
   }
 
   test("profiles count trip endpoints per slice") {
-    import spark.implicits._
-    val p = profiles(toyTrips, TDay).as[(Long, Int, Double)].collect()
-      .map(t => (t._1, t._2) -> t._3).toMap
+    val p = profiles(TripGraph.collectTrips(toyTrips).toSeq.map(t => (t.src, t.dst, t.slice(TDay))))
     // node 1: trips 1 (Mon, src), 2 (Mon, dst), 3 (Sat, src)
-    assert(p((1L, 0)) === 2.0)
-    assert(p((1L, 5)) === 1.0)
+    assert(p((1L, 0)) === 2L)
+    assert(p((1L, 5)) === 1L)
     // node 3: trip 4 self (Wed) counts both endpoints + trip 5 dst (Sat)
-    assert(p((3L, 2)) === 2.0)
-    assert(p((3L, 5)) === 1.0)
+    assert(p((3L, 2)) === 2L)
+    assert(p((3L, 5)) === 1L)
   }
 
   test("TDay weights match the hand-computed co-activity factors (gamma=1)") {
@@ -198,5 +197,64 @@ class TemporalGraphsSpec extends SparkSpec {
     val hourly = repro.TestFixtures.hourly.summary
     assert(day.modularity > basic.modularity - 0.02)
     assert(hourly.modularity > basic.modularity)
+  }
+
+  private def bits(edges: Seq[(Long, Long, Double)]): Seq[(Long, Long, Long)] =
+    edges.map { case (s, d, w) => (s, d, java.lang.Double.doubleToLongBits(w)) }
+
+  private def graph(trips: Seq[TripGraph.Trip]) = TripGraph(Array.empty, trips.toArray)
+
+  /** Up to 60 trips over at most 5 nodes, so self-loops and repeated pairs
+    * are common, on any day and at any hour.
+    */
+  private val genTrips: Gen[Seq[TripGraph.Trip]] = for {
+    nNodes <- Gen.choose(1, 5)
+    rows <- Gen.choose(1, 60).flatMap(n => Gen.listOfN(n, Gen.zip(
+      Gen.choose(1L, nNodes.toLong), Gen.choose(1L, nNodes.toLong),
+      Gen.choose(0, 6), Gen.choose(0, 23))))
+  } yield rows.zipWithIndex.map { case ((s, d, day, hour), i) => TestGraphs.trip(i, s, d, day, hour) }
+
+  private val genGranularity = Gen.oneOf[Granularity](TNull, TDay, THour)
+
+  test("property: weights are bitwise invariant under permutation of the trips") {
+    Props.check(Prop.forAllNoShrink(genTrips, genGranularity, Gen.choose(0.5, 8.0), Gen.long) {
+      (trips, g, gamma, seed) =>
+        bits(weights(graph(trips), g, gamma)) ==
+          bits(weights(graph(new scala.util.Random(seed).shuffle(trips)), g, gamma))
+    })
+  }
+
+  test("property: weights equal a naive per-trip sum of co-activity factors") {
+    Props.check(Prop.forAllNoShrink(genTrips, genGranularity, Gen.choose(0.5, 8.0)) {
+      (trips, g, gamma) =>
+        val ends = trips.flatMap(t => Seq((t.src, t.slice(g)), (t.dst, t.slice(g))))
+        def q(node: Long, slice: Int) =
+          ends.count(_ == ((node, slice))).toDouble / ends.count(_._1 == node)
+        val naive = trips.groupMapReduce(t => (t.src min t.dst, t.src max t.dst)) { t =>
+          val s = t.slice(g)
+          math.pow(g.slices * (q(t.src, s) + q(t.dst, s)) / 2, gamma)
+        }(_ + _)
+        val got = weights(graph(trips), g, gamma)
+        got.map(e => (e._1, e._2)).toSet == naive.keySet && got.forall { case (s, d, w) =>
+          math.abs(w - naive((s, d))) <= 1e-9 * naive((s, d))
+        }
+    })
+  }
+
+  test("property: T_Null weights are the unordered-pair trip counts for any gamma") {
+    Props.check(Prop.forAllNoShrink(genTrips, Gen.choose(0.5, 8.0)) { (trips, gamma) =>
+      val counts = trips.groupMapReduce(t => (t.src min t.dst, t.src max t.dst))(_ => 1.0)(_ + _)
+      val got = weights(graph(trips), TNull, gamma)
+      got.map(e => (e._1, e._2) -> e._3).toMap == counts && got.map(_._3).sum == trips.size
+    })
+  }
+
+  test("edges over the selected trips equal weights over the selected graph, bitwise") {
+    import spark.implicits._
+    val selected = repro.TestFixtures.selected
+    for (g <- Seq(TNull, TDay, THour)) {
+      val viaSpark = edges(spark, selected.trips, g).as[(Long, Long, Double)].collect().toSeq
+      assert(bits(viaSpark) === bits(weights(selected.graph, g)), g.name)
+    }
   }
 }
